@@ -36,6 +36,8 @@ object PaCIM {
   def run(g: CSRGraph, model: ProbModel, k: Int, numSketches: Int = 256,
           alpha: Double = 1.0, selector: Selector = new WinTreeSelector(),
           ccAlgo: SketchBuilder.CCAlgo = SketchBuilder.CCAlgo.UnionFind): Result = {
+    require(k >= 0, s"k=$k must be >= 0")
+    require(numSketches >= 1, s"numSketches=$numSketches must be >= 1")
     val t0 = System.nanoTime()
     val sk = SketchBuilder.build(g, model, numSketches, alpha, ccAlgo)
     val t1 = System.nanoTime()
@@ -46,7 +48,7 @@ object PaCIM {
       evaluations = sel.evaluations,
       sketchTimeMs = (t1 - t0) / 1000000,
       selectTimeMs = (t2 - t1) / 1000000,
-      sketchBytes = sk.sketchBytes + 8L * g.n, // + memoized init scores
+      sketchBytes = sk.sketchBytes + 4L * g.n, // + memoized init gains
       structBytes = sel.structBytes,
       csrBytes = g.csrBytes,
       bfsVisits = sk.visitCounter.sum(),

@@ -6,10 +6,11 @@ import repro.util.Rand
 /** Deterministic ("fusion") edge sampling — Alg. 3, lines 8–10.
   *
   * Whether edge e = {u, v} is present in sampled graph r is a pure
-  * function of (e, r): `hash01(edgeKey(u,v), salt(r)) <= p_e`. A sampled
-  * graph is therefore never materialized; BFS over it re-hashes edges on
-  * the fly, and any process (test, Spark executor, oracle) reconstructs
-  * the identical graph from the sketch id r.
+  * function of (e, r): `hash01(edgeKey(u,v), salt(r)) < p_e`. The
+  * comparison is strict, so p = 0 keeps no edge; hash01 < 1, so p = 1
+  * keeps every edge. A sampled graph is therefore never materialized; BFS
+  * over it re-hashes edges on the fly, and any process (test, Spark
+  * executor, oracle) reconstructs the identical graph from the sketch id r.
   *
   * `salt` decouples families of draws: sketches, Monte-Carlo influence
   * simulations, and RR-set sampling each use their own salt so they are
@@ -21,7 +22,7 @@ final class EdgeSampler(val model: ProbModel, val salt: Long) extends Serializab
 
   /** Is {u, v} present in sampled graph r? Symmetric in (u, v). */
   @inline def sample(u: Int, v: Int, r: Int): Boolean =
-    Rand.hash01(Rand.edgeKey(u, v), rSalt(r)) <= model.prob(u, v)
+    Rand.hash01(Rand.edgeKey(u, v), rSalt(r)) < model.prob(u, v)
 }
 
 object EdgeSampler {

@@ -5,10 +5,10 @@ import repro.util.Par
 
 /** P-tree–based parallel seed selection (Alg. 4).
   *
-  * Per round: extract the top-scoring batch of size 1, 2, 4, … (prefix
-  * doubling) from the tree, re-evaluate each batch *in parallel*, and
-  * stop once the best true score beats the tree's best stale score —
-  * then the un-chosen evaluated vertices go back with their new scores.
+  * Per round: extract the batch of the 1, 2, 4, … (prefix doubling)
+  * highest keys from the tree, re-evaluate each batch *in parallel*, and
+  * stop once the best true key beats the tree's best stale key —
+  * then the un-chosen evaluated vertices go back with their new keys.
   *
   * Guarantees (tested): selects exactly CELF's seeds (Thm. 4.1) with at
   * most 2× CELF's evaluations (Thm. 4.2).
@@ -18,46 +18,44 @@ final class PTreeSelector extends Selector {
 
   override def select(sk: SketchSet, k: Int): SelectionResult = {
     val n = sk.g.n
-    val stale = sk.initScores.clone()
-    var tree = PTree.build(n, stale(_))
-    val structBytes = PTree.bytes(tree) + 8L * n
+    var tree = PTree.build(Array.tabulate(n)(v => Key.of(sk.initGains(v), v)))
+    val structBytes = PTree.bytes(tree)
 
     val seeds = new Array[Int](math.min(k, n))
     var evals = 0L
     var round = 0
     while (round < seeds.length) {
-      var best = -1
-      val pending = Array.newBuilder[Int] // evaluated, not selected
+      var best = Long.MinValue
+      val pending = Array.newBuilder[Long] // evaluated, not selected
       var batchSize = 1
       var stop = false
-      // Round 0's scores are true scores: take the max directly.
+      // Round 0's keys are true keys: take the max directly.
       if (round == 0) {
-        val (ids, rest) = PTree.splitAndRemove(tree, 1)
+        val (keys, rest) = PTree.splitAndRemove(tree, 1)
         tree = rest
-        best = ids(0)
+        best = keys(0)
         stop = true
       }
       while (!stop) {
         val (batch, rest) = PTree.splitAndRemove(tree, batchSize)
         tree = rest
-        Par.parFor(batch.length)(i => stale(batch(i)) = sk.marginal(batch(i)))
-        evals += batch.length
-        var i = 0
-        while (i < batch.length) {
-          val v = batch(i)
-          if (best < 0 || Key.better(stale(v), v, stale(best), best)) {
-            if (best >= 0) pending += best
-            best = v
-          } else pending += v
-          i += 1
+        Par.parFor(batch.length) { i =>
+          val v = Key.id(batch(i))
+          batch(i) = Key.of(sk.gain(v), v)
         }
-        stop = tree == null ||
-          Key.better(stale(best), best, PTree.maxScore(tree), PTree.maxId(tree))
+        evals += batch.length
+        batch.foreach { key =>
+          if (key > best) {
+            if (best != Long.MinValue) pending += best
+            best = key
+          } else pending += key
+        }
+        stop = best > PTree.maxKey(tree)
         batchSize <<= 1
       }
-      tree = PTree.batchInsert(tree, pending.result(), stale(_))
-      seeds(round) = best
-      sk.markSeed(best)
+      tree = PTree.batchInsert(tree, pending.result())
+      seeds(round) = Key.id(best)
+      sk.markSeed(seeds(round))
       round += 1
     }
     SelectionResult(seeds, evals, structBytes)

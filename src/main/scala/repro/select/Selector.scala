@@ -2,15 +2,18 @@ package repro.select
 
 import repro.sketch.SketchSet
 
-/** Total order on (score, vertex) pairs used by every selector:
-  * higher score wins, ties broken toward the smaller vertex id. Using one
-  * strict total order everywhere makes CELF, P-tree and Win-Tree select
-  * *identical* seed sets (the paper assumes no ties; we make the
-  * assumption true by construction), which tests assert.
+/** The selection key of a vertex: its integer gain Σ_r δ_r (R × the
+  * paper's Marginal) in the high 32 bits and `~id` in the low 32 bits, so
+  * a higher key is a better vertex — higher gain first, then the smaller
+  * id. Every selector compares, stores and publishes this one `Long`, so
+  * CELF, P-tree and Win-Tree share one strict total order and select
+  * *identical* seed sets (the paper assumes no ties; the key makes that
+  * true by construction), which tests assert.
   */
 object Key {
-  @inline def better(s1: Double, id1: Int, s2: Double, id2: Int): Boolean =
-    s1 > s2 || (s1 == s2 && id1 < id2)
+  @inline def of(gain: Int, id: Int): Long = (gain.toLong << 32) | (~id & 0xffffffffL)
+  @inline def id(key: Long): Int = ~key.toInt
+  @inline def gain(key: Long): Int = (key >>> 32).toInt
 }
 
 /** Result of a full k-seed selection.

@@ -1,7 +1,7 @@
 package repro.select
 
 import java.util.concurrent.RecursiveAction
-import java.util.concurrent.atomic.{AtomicReference, LongAdder}
+import java.util.concurrent.atomic.{AtomicLong, LongAdder}
 
 import repro.sketch.SketchSet
 
@@ -10,22 +10,27 @@ import repro.sketch.SketchSet
   * The tournament tree is a complete binary tree stored implicitly in an
   * int array of 2L-1 vertex ids (L = n rounded to a power of two; padding
   * leaves hold -1). Each internal node holds the id of the child with the
-  * better stale score. `FindMax` recursively explores the tree in
+  * higher stale [[Key]]. `FindMax` recursively explores the tree in
   * parallel, re-evaluating a node's vertex when it is stale (its id
   * differs from its parent's) and pruning whole subtrees whose stale best
-  * is already below the global write-max Δ* of true scores. After the
-  * recursion the root holds the vertex with the best true score
-  * (Thm. 4.4); a deterministic (score, id) total order makes the selected
+  * key is already at or below the global write-max Δ* of true keys — a
+  * priority update (`accumulateAndGet` with max) on one `AtomicLong`.
+  * After the recursion the root holds the vertex with the best true key
+  * (Thm. 4.4); the deterministic (gain, id) total order makes the selected
   * seed identical to CELF's even though the *set* of vertices evaluated
   * depends on thread timing (which is why, as in the paper, Win-Tree has
   * no 2× evaluation bound — Tab. 5 measures what it actually does).
+  *
+  * @param seqCutoffDepth tree depth, counted from the root, at and below
+  *                       which `FindMax` recurses sequentially instead of
+  *                       forking (0 = no forking at all)
   */
 final class WinTreeSelector(seqCutoffDepth: Int = 8) extends Selector {
   override def name: String = "Win-Tree"
 
   override def select(sk: SketchSet, k: Int): SelectionResult = {
     val n = sk.g.n
-    val stale = sk.initScores.clone()
+    val stale = Array.tabulate(n)(v => Key.of(sk.initGains(v), v))
     var leaves = 1
     while (leaves < n) leaves <<= 1
     val ids = new Array[Int](2 * leaves - 1)
@@ -41,15 +46,14 @@ final class WinTreeSelector(seqCutoffDepth: Int = 8) extends Selector {
     var round = 0
     while (round < seeds.length) {
       if (round == 0) {
-        // Round-0 scores are true scores; the root already wins.
+        // Round-0 keys are true keys; the root already wins.
       } else {
-        val best = new AtomicReference[(Double, Int)]((0.0, Int.MaxValue))
-        new FindMax(sk, ids, stale, best, evalCount, 0, -2, 0).invoke()
+        new FindMax(sk, ids, stale, new AtomicLong(Long.MinValue), evalCount, 0, -2, 0).invoke()
       }
       val s = ids(0)
       seeds(round) = s
-      // Remove the seed: -∞ at its leaf, then fix its root path.
-      stale(s) = Double.NegativeInfinity
+      // Remove the seed: the lowest key at its leaf, then fix its root path.
+      stale(s) = Long.MinValue
       var i = leaves - 1 + s
       while (i > 0) { i = (i - 1) / 2; ids(i) = betterChild(ids, stale, i) }
       sk.markSeed(s)
@@ -58,20 +62,18 @@ final class WinTreeSelector(seqCutoffDepth: Int = 8) extends Selector {
     SelectionResult(seeds, evalCount.sum(), structBytes)
   }
 
-  @inline private def betterChild(ids: Array[Int], stale: Array[Double], t: Int): Int = {
+  @inline private def betterChild(ids: Array[Int], stale: Array[Long], t: Int): Int = {
     val l = ids(2 * t + 1); val r = ids(2 * t + 2)
-    if (l < 0) r
-    else if (r < 0) l
-    else if (Key.better(stale(l), l, stale(r), r)) l
-    else r
+    if (l < 0 || (r >= 0 && stale(r) > stale(l))) r else l
   }
 
   /** Alg. 5 FindMax as a ForkJoin task. `parentId` of -2 marks the root
-    * (always treated as stale); `depth` switches to sequential recursion
-    * below `seqCutoffDepth` levels from the leaves to bound task overhead.
+    * (always treated as stale); `depth` counts levels from the root and
+    * switches to sequential recursion at `seqCutoffDepth` to bound task
+    * overhead.
     */
-  private final class FindMax(sk: SketchSet, ids: Array[Int], stale: Array[Double],
-                              best: AtomicReference[(Double, Int)], evals: LongAdder,
+  private final class FindMax(sk: SketchSet, ids: Array[Int], stale: Array[Long],
+                              best: AtomicLong, evals: LongAdder,
                               t: Int, parentId: Int, depth: Int) extends RecursiveAction {
     override def compute(): Unit = run(t, parentId, depth)
 
@@ -80,12 +82,11 @@ final class WinTreeSelector(seqCutoffDepth: Int = 8) extends Selector {
       if (id < 0) return
       val isStale = id != parentId
       if (isStale) {
-        val b = best.get()
-        // Prune: every vertex below has a stale score no better than ours.
-        if (!Key.better(stale(id), id, b._1, b._2)) return
-        stale(id) = sk.marginal(id)
+        // Prune: every vertex below has a stale key no higher than ours.
+        if (stale(id) <= best.get) return
+        stale(id) = Key.of(sk.gain(id), id)
         evals.increment()
-        writeMax(stale(id), id)
+        best.accumulateAndGet(stale(id), Math.max)
       }
       val left = 2 * t + 1
       if (left >= ids.length) return // leaf
@@ -100,16 +101,6 @@ final class WinTreeSelector(seqCutoffDepth: Int = 8) extends Selector {
         run(left + 1, id, depth + 1)
       }
       ids(t) = betterChild(ids, stale, t)
-    }
-
-    /** Atomic WriteMax on the (score, id) total order. */
-    private def writeMax(s: Double, id: Int): Unit = {
-      var done = false
-      while (!done) {
-        val cur = best.get()
-        if (Key.better(s, id, cur._1, cur._2)) done = best.compareAndSet(cur, (s, id))
-        else done = true
-      }
     }
   }
 }

@@ -53,6 +53,8 @@ object SketchBuilder {
   def fromCCLabels(g: CSRGraph, sampler: EdgeSampler, numSketches: Int,
                    centers: Array[Int])(ccOf: Int => Array[Int]): SketchSet = {
     val n = g.n
+    require(numSketches.toLong * n <= Int.MaxValue,
+      s"numSketches * n = ${numSketches.toLong * n} exceeds Int.MaxValue: a gain must fit in an Int")
     val rho = centers.length
     val centerIndex = Array.fill(n)(-1)
     var i = 0
@@ -60,16 +62,16 @@ object SketchBuilder {
 
     val labels = new Array[Array[Int]](numSketches)
     val sizes = new Array[Array[Int]](numSketches)
-    // Marginal(∅, v) comes free during construction (every vertex's CC
+    // v's gain on ∅ comes free during construction (every vertex's CC
     // size is in hand before compression discards it) — the MixGreedy
     // first-seed observation; it also means selection counts only
     // RE-evaluations, as in the paper's Tab. 5.
-    val initSums = new java.util.concurrent.atomic.AtomicLongArray(n)
+    val initSums = new java.util.concurrent.atomic.AtomicIntegerArray(n)
     Par.parFor(numSketches) { r =>
       val cc = ccOf(r)
       val sizeByLabel = LocalCC.sizesOf(cc)
       var v = 0
-      while (v < n) { initSums.addAndGet(v, sizeByLabel(cc(v)).toLong); v += 1 }
+      while (v < n) { initSums.addAndGet(v, sizeByLabel(cc(v))); v += 1 }
       // Representative center index per component = the smallest center
       // index whose center lies in that component (centers are sorted by
       // vertex id, so a forward scan fills each component's rep first).
@@ -91,8 +93,8 @@ object SketchBuilder {
       labels(r) = lab
       sizes(r) = siz
     }
-    val initScores = Array.tabulate(n)(v => initSums.get(v).toDouble / numSketches)
-    new SketchSet(g, sampler, numSketches, centers, centerIndex, labels, sizes, initScores)
+    val initGains = Array.tabulate(n)(initSums.get)
+    new SketchSet(g, sampler, numSketches, centers, centerIndex, labels, sizes, initGains)
   }
 
   /** Local parallel build (what the benches use). */

@@ -18,13 +18,26 @@ import repro.util.{Par, Scratch}
   *  - `sizes(r)(j)`: for a representative j (labels(r)(j) == j), the
   *    influence of that component — its size initially, 0 once any vertex
   *    of the component has been chosen as a seed (MarkSeed).
+  *  - `initGains(v)`: Σ_r of v's component size on G'_r, i.e. v's gain on
+  *    the empty seed set, memoized at build time.
+  *
+  * Scores are integer *gains*: v's gain is Σ_r δ_r, which is R × the
+  * paper's Marginal (an average). Every selector ranks by the gain, so
+  * no floating point is involved in selection; `marginal` divides by R
+  * for callers that want the paper's value. `fromCCLabels` requires
+  * R·n ≤ Int.MaxValue, so a gain always fits in an Int.
+  *
+  * `getCenter(r, v)` answers with one int: v's representative center
+  * index on G'_r when v's component has a center (δ_r is then that
+  * representative's `sizes` entry), otherwise `~δ_r` (< 0) — `~0` for a
+  * seed, `~visited` for a component the BFS exhausted without a center.
   *
   * With α = 1 this degenerates to InfuserMG's full memoization (every
   * GetCenter terminates at its first vertex); with α = 0 to StaticGreedy's
   * pure simulation. The marginal-gain *values* are identical for every α —
   * only the evaluation cost changes (Thm. 3.1) — which tests assert.
   *
-  * Thread safety: `marginal` is read-only and safe to call from many
+  * Thread safety: `gain`/`marginal` are read-only and safe to call from many
   * threads; `markSeed` must be called from one thread at a time (between
   * selection rounds), which is how Alg. 1 uses it.
   */
@@ -36,7 +49,7 @@ final class SketchSet(
     val centerIndex: Array[Int], // n entries: vertex -> center index, or -1
     val labels: Array[Array[Int]], // R × ρ
     val sizes: Array[Array[Int]], // R × ρ
-    val initScores: Array[Double], // Marginal(∅, v) memoized at build time
+    val initGains: Array[Int], // gain(v) on the empty seed set
 ) {
   require(labels.length == R && sizes.length == R)
 
@@ -50,25 +63,23 @@ final class SketchSet(
     * against identical sketches) and seed state.
     */
   def copy(): SketchSet =
-    new SketchSet(g, sampler, R, centers, centerIndex, labels, sizes.map(_.clone()), initScores)
+    new SketchSet(g, sampler, R, centers, centerIndex, labels, sizes.map(_.clone()), initGains)
 
   /** Auxiliary sketch bytes (Tab. 2's O((1+αR)n) term, measured):
     * R·ρ ints of labels + R·ρ ints of sizes + n ints of centerIndex.
     */
   def sketchBytes: Long = 8L * R * rho + 4L * g.n
 
-  /** Alg. 3 GetCenter: (δ, l) where δ is v's marginal influence on sketch
-    * r and l the representative center index of v's component (-1 if the
-    * component has no center). BFS over the implicit G'_r; stops at the
-    * first center or the first seed (either determines the answer).
+  /** Alg. 3 GetCenter, answered as one int (encoding in the class doc).
+    * BFS over the implicit G'_r; stops at the first center or the first
+    * seed (either determines the answer).
     */
-  def getCenter(r: Int, v: Int): (Int, Int) = {
-    if (isSeed(v)) return (0, -1)
+  def getCenter(r: Int, v: Int): Int = {
+    if (isSeed(v)) return ~0
     val ci = centerIndex(v)
     if (ci >= 0) {
       visitCounter.increment()
-      val l = labels(r)(ci)
-      return (sizes(r)(l), l)
+      return labels(r)(ci)
     }
     val s = Scratch.local(g.n)
     s.reset()
@@ -90,36 +101,45 @@ final class SketchSet(
           }
         }
       }
-      if (found == -2) { visitCounter.add(visited.toLong); return (0, -1) }
+      if (found == -2) { visitCounter.add(visited.toLong); return ~0 }
       if (found >= 0) {
         visitCounter.add(visited.toLong + 1)
-        val l = labels(r)(found)
-        return (sizes(r)(l), l)
+        return labels(r)(found)
       }
     }
     visitCounter.add(visited.toLong)
-    (visited, -1)
+    ~visited
+  }
+
+  /** δ_r of v: its marginal influence on sketch r. */
+  @inline private def delta(r: Int, v: Int): Int = {
+    val c = getCenter(r, v)
+    if (c >= 0) sizes(r)(c) else ~c
+  }
+
+  /** v's gain Σ_r δ_r over all R sketches (R × the paper's Marginal). */
+  def gain(v: Int, parallel: Boolean = false): Int = {
+    if (parallel) {
+      Par.parSumL(R)(r => delta(r, v).toLong).toInt
+    } else {
+      var sum = 0
+      var r = 0
+      while (r < R) { sum += delta(r, v); r += 1 }
+      sum
+    }
   }
 
   /** Alg. 3 Marginal: average of δ_r over all R sketches. */
-  def marginal(v: Int, parallel: Boolean = false): Double = {
-    if (parallel) {
-      Par.parSumD(R)(r => getCenter(r, v)._1.toDouble) / R
-    } else {
-      var sum = 0.0
-      var r = 0
-      while (r < R) { sum += getCenter(r, v)._1; r += 1 }
-      sum / R
-    }
-  }
+  def marginal(v: Int, parallel: Boolean = false): Double =
+    gain(v, parallel).toDouble / R
 
   /** Alg. 3 MarkSeed: zero the influence of v's component on every
     * sketch where that component is represented by a center.
     */
   def markSeed(v: Int): Unit = {
     Par.parFor(R) { r =>
-      val (_, l) = getCenter(r, v)
-      if (l >= 0) sizes(r)(l) = 0
+      val c = getCenter(r, v)
+      if (c >= 0) sizes(r)(c) = 0
     }
     isSeed(v) = true
   }

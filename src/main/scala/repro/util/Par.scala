@@ -1,6 +1,5 @@
 package repro.util
 
-import java.util.concurrent.atomic.AtomicInteger
 import java.util.stream.IntStream
 
 /** Shared-memory fork-join helpers.
@@ -22,13 +21,6 @@ object Par {
     val out = new Array[T](n)
     parFor(n)(i => out(i) = f(i))
     out
-  }
-
-  /** Parallel sum of a per-index Double function. */
-  def parSumD(n: Int)(f: Int => Double): Double = {
-    val acc = new java.util.concurrent.atomic.DoubleAdder
-    parFor(n)(i => acc.add(f(i)))
-    acc.sum()
   }
 
   /** Parallel sum of a per-index Long function. */
@@ -61,13 +53,12 @@ object Scratch {
   private val pool = new ThreadLocal[java.util.HashMap[Integer, Scratch]] {
     override def initialValue() = new java.util.HashMap[Integer, Scratch]()
   }
-  private val live = new AtomicInteger(0)
 
   /** Thread-local scratch for graphs with n vertices. */
   def local(n: Int): Scratch = {
     val m = pool.get()
     var s = m.get(n)
-    if (s == null) { s = new Scratch(n); m.put(n, s); live.incrementAndGet() }
+    if (s == null) { s = new Scratch(n); m.put(n, s) }
     s
   }
 }

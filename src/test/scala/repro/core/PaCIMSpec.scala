@@ -20,6 +20,17 @@ class PaCIMSpec extends AnyFunSuite {
     assert(res.totalBytes == res.csrBytes + res.sketchBytes + res.structBytes)
   }
 
+  test("run rejects k < 0") {
+    val e = intercept[IllegalArgumentException](PaCIM.run(GraphGen.path(5), Constant(0.5), k = -1))
+    assert(e.getMessage.contains("k=-1"))
+  }
+
+  test("run rejects numSketches < 1") {
+    val e = intercept[IllegalArgumentException](
+      PaCIM.run(GraphGen.path(5), Constant(0.5), k = 1, numSketches = 0))
+    assert(e.getMessage.contains("numSketches=0"))
+  }
+
   test("alpha=1 and alpha=0.1 produce the same seeds (compression is lossless)") {
     repro.harness.Workloads.tiny.foreach { case (name, g, model) =>
       val a = PaCIM.run(g, model, 15, 16, alpha = 1.0)

@@ -97,9 +97,9 @@ class EdgeSamplerSpec extends AnyFunSuite {
   test("p=0 never samples; p=1 always samples") {
     val zero = EdgeSampler.forSketches(Constant(0.0))
     val one = EdgeSampler.forSketches(Constant(1.0))
-    (0 until 1000).foreach { i =>
-      assert(!zero.sample(i, i + 1, 0)) // P[hash == 0.0 exactly] ~ 2^-53
-      assert(one.sample(i, i + 1, 0))
+    for (i <- 0 until 1000; r <- 0 until 16) {
+      assert(!zero.sample(i, i + 1, r), s"p=0 kept ($i,${i + 1}) on sketch $r")
+      assert(one.sample(i, i + 1, r), s"p=1 dropped ($i,${i + 1}) on sketch $r")
     }
   }
 }

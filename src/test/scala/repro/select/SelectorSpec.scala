@@ -107,10 +107,21 @@ class SelectorSpec extends AnyFunSuite {
   test("k = 1 returns the vertex with the highest initial score") {
     cases.foreach { case (name, g, model, _) =>
       val sk = SketchBuilder.build(g, model, 12, 1.0)
-      val expect = (0 until g.n).maxBy(v => (sk.initScores(v), -v))
+      val expect = (0 until g.n).maxBy(v => (sk.initGains(v), -v))
       selectors.foreach { sel =>
         assert(PaCIM.selectOn(sk, 1, sel).seeds.toSeq == Seq(expect), s"$name/${sel.name}")
       }
+    }
+  }
+
+  test("k = 0 and the empty graph select nothing") {
+    val g = GraphGen.erdosRenyi(40, 80, seed = 57)
+    val sk = SketchBuilder.build(g, Constant(0.3), 8, 0.5)
+    val empty = SketchBuilder.build(GraphGen.empty(0), Constant(0.3), 8, 0.5)
+    selectors.foreach { sel =>
+      assert(PaCIM.selectOn(sk, 0, sel).seeds.isEmpty, sel.name)
+      val r = PaCIM.selectOn(empty, 5, sel)
+      assert(r.seeds.isEmpty && r.evaluations == 0, sel.name)
     }
   }
 

@@ -55,7 +55,7 @@ class WinTreeSpec extends AnyFunSuite {
     val g = GraphGen.erdosRenyi(1000, 2000, seed = 73)
     val sk = SketchBuilder.build(g, Constant(0.2), 4, 1.0)
     val r = PaCIM.selectOn(sk, 2, new WinTreeSelector())
-    // 1024 leaves -> 2047 node ids (4B) + n stale doubles (8B).
+    // 1024 leaves -> 2047 node ids (4B) + n stale keys (8B).
     assert(r.structBytes == 4L * 2047 + 8L * 1000)
   }
 }

@@ -37,7 +37,7 @@ class SketchSetSpec extends AnyFunSuite {
     }
   }
 
-  test("initScores equal the average component size") {
+  test("initGains equal the summed component size") {
     val g = GraphGen.erdosRenyi(150, 250, seed = 32)
     val model = Constant(0.4)
     val numSk = 8
@@ -45,19 +45,22 @@ class SketchSetSpec extends AnyFunSuite {
     alphas.foreach { a =>
       val sk = SketchBuilder.build(g, model, numSk, a)
       (0 until g.n).foreach { v =>
-        val expect = TestRefs.sketchSigma(g, sampler, numSk, Seq(v))
-        assert(math.abs(sk.initScores(v) - expect) < 1e-9, s"alpha=$a v=$v")
+        // sketchSigma divides an integer count by numSk = 8, a power of
+        // two, so sigma * numSk is exact.
+        val expect = TestRefs.sketchSigma(g, sampler, numSk, Seq(v)) * numSk
+        assert(sk.initGains(v) == expect, s"alpha=$a v=$v")
       }
     }
   }
 
-  test("marginal on the empty seed set equals initScores for every alpha") {
+  test("gain on the empty seed set equals initGains for every alpha") {
     val g = GraphGen.rmat(256, 1200, seed = 33)
     val model = Constant(0.1)
     alphas.foreach { a =>
       val sk = SketchBuilder.build(g, model, 16, a)
       (0 until g.n by 7).foreach { v =>
-        assert(math.abs(sk.marginal(v) - sk.initScores(v)) < 1e-9, s"alpha=$a v=$v")
+        assert(sk.gain(v) == sk.initGains(v), s"alpha=$a v=$v")
+        assert(sk.marginal(v) == sk.initGains(v).toDouble / 16, s"alpha=$a v=$v")
       }
     }
   }
@@ -69,8 +72,8 @@ class SketchSetSpec extends AnyFunSuite {
     val seedsToMark = Seq(3, 77, 145)
     seedsToMark.foreach(s => sks.foreach(_.markSeed(s)))
     (0 until g.n by 5).filterNot(seedsToMark.contains).foreach { v =>
-      val vals = sks.map(_.marginal(v))
-      assert(vals.forall(x => math.abs(x - vals.head) < 1e-9), s"v=$v vals=$vals")
+      val vals = sks.map(_.gain(v))
+      assert(vals.forall(_ == vals.head), s"v=$v vals=$vals")
     }
   }
 
@@ -84,8 +87,8 @@ class SketchSetSpec extends AnyFunSuite {
     seeds.foreach(sk.markSeed)
     val base = TestRefs.sketchSigma(g, sampler, numSk, seeds)
     (0 until g.n by 3).filterNot(seeds.contains).foreach { v =>
-      val expect = TestRefs.sketchSigma(g, sampler, numSk, seeds :+ v) - base
-      assert(math.abs(sk.marginal(v) - expect) < 1e-9, s"v=$v")
+      val expect = (TestRefs.sketchSigma(g, sampler, numSk, seeds :+ v) - base) * numSk
+      assert(sk.gain(v) == expect, s"v=$v")
     }
   }
 
@@ -94,6 +97,7 @@ class SketchSetSpec extends AnyFunSuite {
     val sk = SketchBuilder.build(g, Constant(0.3), 8, 0.3)
     sk.markSeed(17)
     assert(sk.marginal(17) == 0.0)
+    assert(sk.gain(17) == 0)
     assert(sk.seeded(17))
   }
 
@@ -102,7 +106,7 @@ class SketchSetSpec extends AnyFunSuite {
     val sk = SketchBuilder.build(g, Constant(0.05), 32, 0.1)
     sk.markSeed(9)
     (0 until g.n by 17).foreach { v =>
-      assert(sk.marginal(v, parallel = false) == sk.marginal(v, parallel = true))
+      assert(sk.gain(v, parallel = false) == sk.gain(v, parallel = true))
     }
   }
 
@@ -125,7 +129,15 @@ class SketchSetSpec extends AnyFunSuite {
       assert(a.labels(r).toSeq == b.labels(r).toSeq)
       assert(a.sizes(r).toSeq == b.sizes(r).toSeq)
     }
-    assert(a.initScores.toSeq == b.initScores.toSeq)
+    assert(a.initGains.toSeq == b.initGains.toSeq)
+  }
+
+  test("fromCCLabels rejects R * n beyond Int.MaxValue (a gain must fit in an Int)") {
+    val g = GraphGen.empty(1 << 16)
+    val sampler = EdgeSampler.forSketches(Constant(0.5))
+    val e = intercept[IllegalArgumentException](
+      SketchBuilder.fromCCLabels(g, sampler, (1 << 15) + 1, Array.empty[Int])(_ => fail("no CC may run")))
+    assert(e.getMessage.contains("numSketches * n"))
   }
 
   test("sketchBytes follows the O((1+alpha R)n) model") {

@@ -31,7 +31,7 @@ class SparkSketchBuilderSpec extends SparkSpec {
         assert(dist.labels(r).toSeq == local.labels(r).toSeq, s"alpha=$alpha r=$r labels")
         assert(dist.sizes(r).toSeq == local.sizes(r).toSeq, s"alpha=$alpha r=$r sizes")
       }
-      assert(dist.initScores.toSeq == local.initScores.toSeq, s"alpha=$alpha")
+      assert(dist.initGains.toSeq == local.initGains.toSeq, s"alpha=$alpha")
     }
   }
 
@@ -44,7 +44,7 @@ class SparkSketchBuilderSpec extends SparkSpec {
       assert(gx.labels(r).toSeq == local.labels(r).toSeq, s"r=$r")
       assert(gx.sizes(r).toSeq == local.sizes(r).toSeq, s"r=$r")
     }
-    assert(gx.initScores.toSeq == local.initScores.toSeq)
+    assert(gx.initGains.toSeq == local.initGains.toSeq)
   }
 
   test("seed selection on distributed-built sketches matches local") {
