@@ -23,10 +23,13 @@ import repro.sketch.SketchBuilder
   */
 object InfuserMG {
 
-  def run(g: CSRGraph, model: ProbModel, k: Int, numSketches: Int = 256): PaCIM.Result =
-    PaCIM.run(g, model, k, numSketches, alpha = 1.0,
+  def run(g: CSRGraph, model: ProbModel, k: Int, numSketches: Int = 256): PaCIM.Result = {
+    val res = PaCIM.run(g, model, k, numSketches, alpha = 1.0,
       selector = new CelfSelector(parallelMarginal = true),
       ccAlgo = SketchBuilder.CCAlgo.Coloring)
+    // InfuserMG keeps a label and a size per vertex per sketch: R·n ints more than our α=1 sketch.
+    res.copy(sketchBytes = res.sketchBytes + 4L * numSketches * g.n)
+  }
 }
 
 /** StaticGreedy baseline [22] (with Infuser's fusion optimization, as

@@ -124,6 +124,9 @@ object RIS {
   def run(g: CSRGraph, model: ProbModel, k: Int, eps: Double = 0.5,
           maxStoredInts: Long = 50000000L, maxSets: Long = 4000000L,
           pilot: Int = 1024): Result = {
+    require(k >= 0 && k <= g.n, s"k=$k must be in [0, n=${g.n}]")
+    require(eps > 0, s"eps=$eps must be > 0")
+    require(pilot >= 1, s"pilot=$pilot must be >= 1")
     val sampler = EdgeSampler.forRis(model)
     val n = g.n
     val t0 = System.nanoTime()

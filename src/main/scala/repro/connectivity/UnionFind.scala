@@ -9,7 +9,6 @@ package repro.connectivity
 final class UnionFind(n: Int) {
   private val parent = Array.tabulate(n)(identity)
   private val size = Array.fill(n)(1)
-  private var components = n
 
   def find(x0: Int): Int = {
     var x = x0
@@ -27,16 +26,8 @@ final class UnionFind(n: Int) {
     if (size(ra) < size(rb)) { val t = ra; ra = rb; rb = t }
     parent(rb) = ra
     size(ra) += size(rb)
-    components -= 1
     true
   }
-
-  def sameSet(a: Int, b: Int): Boolean = find(a) == find(b)
-
-  /** Size of the component containing x. */
-  def componentSize(x: Int): Int = size(find(x))
-
-  def componentCount: Int = components
 
   /** Canonical label per vertex: the minimum vertex id in its component. */
   def labels: Array[Int] = {

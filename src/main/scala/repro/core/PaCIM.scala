@@ -48,7 +48,7 @@ object PaCIM {
       evaluations = sel.evaluations,
       sketchTimeMs = (t1 - t0) / 1000000,
       selectTimeMs = (t2 - t1) / 1000000,
-      sketchBytes = sk.sketchBytes + 4L * g.n, // + memoized init gains
+      sketchBytes = sk.sketchBytes,
       structBytes = sel.structBytes,
       csrBytes = g.csrBytes,
       bfsVisits = sk.visitCounter.sum(),

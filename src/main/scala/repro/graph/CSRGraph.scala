@@ -63,7 +63,13 @@ object CSRGraph {
     * Self-loops are dropped; duplicates are merged; both arcs are stored.
     */
   def fromPackedEdges(n: Int, packed: Array[Long]): CSRGraph = {
-    val sorted = packed.filter { k => (k >>> 32) != (k & 0xffffffffL) }.distinct
+    val keys = packed.filter { k => (k >>> 32) != (k & 0xffffffffL) }
+    // Primitive sort + adjacent-equal scan: a boxed hash set degrades to
+    // quadratic on grid keys, whose Long.hashCode values collide heavily.
+    java.util.Arrays.sort(keys)
+    var m = 0
+    keys.foreach { k => if (m == 0 || keys(m - 1) != k) { keys(m) = k; m += 1 } }
+    val sorted = java.util.Arrays.copyOf(keys, m)
     val deg = new Array[Int](n + 1)
     sorted.foreach { k =>
       val u = (k >>> 32).toInt; val v = (k & 0xffffffffL).toInt
@@ -96,12 +102,4 @@ object CSRGraph {
   /** Build from (u, v) pairs (order/duplication insensitive). */
   def fromEdges(n: Int, edges: Iterable[(Int, Int)]): CSRGraph =
     fromPackedEdges(n, edges.iterator.map { case (u, v) => Rand.edgeKey(u, v) }.toArray)
-
-  /** Build from a DataFrame with integer-compatible src/dst columns. */
-  def fromEdgeDF(n: Int, df: DataFrame): CSRGraph = {
-    val pairs = df.select("src", "dst").collect().map { r =>
-      (r.get(0).toString.toDouble.toInt, r.get(1).toString.toDouble.toInt)
-    }
-    fromEdges(n, pairs)
-  }
 }

@@ -48,7 +48,8 @@ object SketchBuilder {
 
   /** Build a SketchSet from per-sketch canonical CC labelings.
     * `ccOf(r)` must return, for sketch r, an n-array mapping each vertex
-    * to the minimum vertex id of its component in G'_r.
+    * to the minimum vertex id of its component in G'_r. `centers` may be
+    * any strictly increasing subset of [0, n); the gains do not depend on it.
     */
   def fromCCLabels(g: CSRGraph, sampler: EdgeSampler, numSketches: Int,
                    centers: Array[Int])(ccOf: Int => Array[Int]): SketchSet = {
@@ -58,10 +59,15 @@ object SketchBuilder {
     val rho = centers.length
     val centerIndex = Array.fill(n)(-1)
     var i = 0
-    while (i < rho) { centerIndex(centers(i)) = i; i += 1 }
+    while (i < rho) {
+      val c = centers(i)
+      require(c >= 0 && c < n && (i == 0 || c > centers(i - 1)),
+        s"centers must be strictly increasing vertex ids in [0, $n); centers($i) = $c")
+      centerIndex(c) = i
+      i += 1
+    }
 
-    val labels = new Array[Array[Int]](numSketches)
-    val sizes = new Array[Array[Int]](numSketches)
+    val comp = new Array[Array[Int]](numSketches)
     // v's gain on ∅ comes free during construction (every vertex's CC
     // size is in hand before compression discards it) — the MixGreedy
     // first-seed observation; it also means selection counts only
@@ -72,29 +78,22 @@ object SketchBuilder {
       val sizeByLabel = LocalCC.sizesOf(cc)
       var v = 0
       while (v < n) { initSums.addAndGet(v, sizeByLabel(cc(v))); v += 1 }
-      // Representative center index per component = the smallest center
-      // index whose center lies in that component (centers are sorted by
-      // vertex id, so a forward scan fills each component's rep first).
-      val rep = new java.util.HashMap[Integer, Integer]()
-      val lab = new Array[Int](rho)
-      val siz = new Array[Int](rho)
+      // Forward scan: centers are sorted by vertex id, so a component's
+      // first center is its representative. It stores ~size, and the
+      // component's size slot becomes ~rep, which later centers copy.
+      val row = new Array[Int](rho)
       var j = 0
       while (j < rho) {
         val l = cc(centers(j))
-        val prev = rep.putIfAbsent(Int.box(l), Int.box(j))
-        lab(j) = if (prev == null) j else prev.intValue()
+        val s = sizeByLabel(l)
+        row(j) = ~s
+        if (s > 0) sizeByLabel(l) = ~j
         j += 1
       }
-      j = 0
-      while (j < rho) {
-        siz(j) = if (lab(j) == j) sizeByLabel(cc(centers(j))) else 0
-        j += 1
-      }
-      labels(r) = lab
-      sizes(r) = siz
+      comp(r) = row
     }
     val initGains = Array.tabulate(n)(initSums.get)
-    new SketchSet(g, sampler, numSketches, centers, centerIndex, labels, sizes, initGains)
+    new SketchSet(g, sampler, numSketches, centers, centerIndex, comp, initGains)
   }
 
   /** Local parallel build (what the benches use). */

@@ -8,16 +8,17 @@ import repro.util.{Par, Scratch}
 
 /** The compressed sketches of PaC-IM (Sec. 3, Alg. 3).
   *
-  * A sketch Φ_r is the triple (r, label[1..ρ], size[1..ρ]) for ρ = αn
-  * uniformly random *centers*. The sampled graph G'_r itself is implicit:
-  * it is fully determined by (sampler, r) and re-hashed on the fly.
+  * A sketch Φ_r memoizes one int per center for ρ = αn uniformly random
+  * *centers*. The sampled graph G'_r itself is implicit: it is fully
+  * determined by (sampler, r) and re-hashed on the fly.
   *
-  *  - `labels(r)(i)`: the smallest center index j such that center j is in
-  *    the same component as center i on G'_r (centers are sorted by vertex
-  *    id, so "smallest index" == the paper's "smallest center id").
-  *  - `sizes(r)(j)`: for a representative j (labels(r)(j) == j), the
-  *    influence of that component — its size initially, 0 once any vertex
-  *    of the component has been chosen as a seed (MarkSeed).
+  *  - `comp(r)(j)` for center index j: if j is not its component's
+  *    representative on G'_r, the representative's center index (≥ 0);
+  *    if j is the representative, `~influence` (< 0) — `~size` after the
+  *    build, `~0` once any vertex of the component has been chosen as a
+  *    seed (MarkSeed). The representative is the smallest center index in
+  *    the component (centers are sorted by vertex id, so "smallest index"
+  *    == the paper's "smallest center id").
   *  - `initGains(v)`: Σ_r of v's component size on G'_r, i.e. v's gain on
   *    the empty seed set, memoized at build time.
   *
@@ -28,9 +29,9 @@ import repro.util.{Par, Scratch}
   * R·n ≤ Int.MaxValue, so a gain always fits in an Int.
   *
   * `getCenter(r, v)` answers with one int: v's representative center
-  * index on G'_r when v's component has a center (δ_r is then that
-  * representative's `sizes` entry), otherwise `~δ_r` (< 0) — `~0` for a
-  * seed, `~visited` for a component the BFS exhausted without a center.
+  * index on G'_r when v's component has a center (δ_r is then `~comp` at
+  * that representative), otherwise `~δ_r` (< 0) — `~0` for a seed,
+  * `~visited` for a component the BFS exhausted without a center.
   *
   * With α = 1 this degenerates to InfuserMG's full memoization (every
   * GetCenter terminates at its first vertex); with α = 0 to StaticGreedy's
@@ -47,28 +48,33 @@ final class SketchSet(
     val R: Int,
     val centers: Array[Int],
     val centerIndex: Array[Int], // n entries: vertex -> center index, or -1
-    val labels: Array[Array[Int]], // R × ρ
-    val sizes: Array[Array[Int]], // R × ρ
+    val comp: Array[Array[Int]], // R × ρ: representative index, or ~influence
     val initGains: Array[Int], // gain(v) on the empty seed set
 ) {
-  require(labels.length == R && sizes.length == R)
-
   val rho: Int = centers.length
+  require(comp.length == R && comp.forall(_.length == rho), s"comp must be $R rows of $rho entries")
+
   private val isSeed = new Array[Boolean](g.n)
 
   /** Total vertices visited by all GetCenter BFS — the Thm-3.1 metric. */
   val visitCounter = new LongAdder
 
-  /** Fresh copy with independent `sizes` (for running several selectors
+  /** Fresh copy with independent `comp` (for running several selectors
     * against identical sketches) and seed state.
     */
   def copy(): SketchSet =
-    new SketchSet(g, sampler, R, centers, centerIndex, labels, sizes.map(_.clone()), initGains)
+    new SketchSet(g, sampler, R, centers, centerIndex, comp.map(_.clone()), initGains)
 
   /** Auxiliary sketch bytes (Tab. 2's O((1+αR)n) term, measured):
-    * R·ρ ints of labels + R·ρ ints of sizes + n ints of centerIndex.
+    * R·ρ ints of comp + n ints of centerIndex + n ints of initGains.
     */
-  def sketchBytes: Long = 8L * R * rho + 4L * g.n
+  def sketchBytes: Long = 4L * R * rho + 8L * g.n
+
+  /** Representative center index of center j on sketch r. */
+  @inline private def rep(r: Int, j: Int): Int = {
+    val c = comp(r)(j)
+    if (c < 0) j else c
+  }
 
   /** Alg. 3 GetCenter, answered as one int (encoding in the class doc).
     * BFS over the implicit G'_r; stops at the first center or the first
@@ -79,7 +85,7 @@ final class SketchSet(
     val ci = centerIndex(v)
     if (ci >= 0) {
       visitCounter.increment()
-      return labels(r)(ci)
+      return rep(r, ci)
     }
     val s = Scratch.local(g.n)
     s.reset()
@@ -104,7 +110,7 @@ final class SketchSet(
       if (found == -2) { visitCounter.add(visited.toLong); return ~0 }
       if (found >= 0) {
         visitCounter.add(visited.toLong + 1)
-        return labels(r)(found)
+        return rep(r, found)
       }
     }
     visitCounter.add(visited.toLong)
@@ -114,7 +120,7 @@ final class SketchSet(
   /** δ_r of v: its marginal influence on sketch r. */
   @inline private def delta(r: Int, v: Int): Int = {
     val c = getCenter(r, v)
-    if (c >= 0) sizes(r)(c) else ~c
+    if (c >= 0) ~comp(r)(c) else ~c
   }
 
   /** v's gain Σ_r δ_r over all R sketches (R × the paper's Marginal). */
@@ -139,7 +145,7 @@ final class SketchSet(
   def markSeed(v: Int): Unit = {
     Par.parFor(R) { r =>
       val c = getCenter(r, v)
-      if (c >= 0) sizes(r)(c) = 0
+      if (c >= 0) comp(r)(c) = ~0
     }
     isSeed(v) = true
   }

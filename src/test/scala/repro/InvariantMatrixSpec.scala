@@ -41,7 +41,7 @@ class InvariantMatrixSpec extends AnyFunSuite {
       (0 until R).foreach { r =>
         val cc = TestRefs.bfsCC(s.g, sampler, r)
         (0 until s.g.n).foreach { v =>
-          assert(reference.labels(r)(v) == cc(v), s"sketch $r vertex $v")
+          assert(reference.getCenter(r, v) == cc(v), s"sketch $r vertex $v")
         }
       }
     }

@@ -60,4 +60,24 @@ class RISSpec extends AnyFunSuite {
     val res = RIS.run(g, Constant(1.0), 3, pilot = 64)
     assert(res.seeds.distinct.length == 3)
   }
+
+  test("run rejects k < 0") {
+    val e = intercept[IllegalArgumentException](RIS.run(GraphGen.star(8), Constant(0.5), k = -1))
+    assert(e.getMessage.contains("k=-1"))
+  }
+
+  test("run rejects k > n") {
+    val e = intercept[IllegalArgumentException](RIS.run(GraphGen.star(8), Constant(0.5), k = 9))
+    assert(e.getMessage.contains("k=9"))
+  }
+
+  test("run rejects eps <= 0") {
+    val e = intercept[IllegalArgumentException](RIS.run(GraphGen.star(8), Constant(0.5), 2, eps = 0.0))
+    assert(e.getMessage.contains("eps="))
+  }
+
+  test("run rejects pilot < 1") {
+    val e = intercept[IllegalArgumentException](RIS.run(GraphGen.star(8), Constant(0.5), 2, pilot = 0))
+    assert(e.getMessage.contains("pilot=0"))
+  }
 }

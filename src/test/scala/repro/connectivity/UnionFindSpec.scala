@@ -10,25 +10,24 @@ class UnionFindSpec extends AnyFunSuite {
 
   test("singletons before any union") {
     val uf = new UnionFind(5)
-    assert(uf.componentCount == 5)
-    (0 until 5).foreach(v => assert(uf.find(v) == v && uf.componentSize(v) == 1))
+    (0 until 5).foreach(v => assert(uf.find(v) == v))
+    assert(uf.labels.toSeq == (0 until 5))
   }
 
   test("union merges and is idempotent") {
     val uf = new UnionFind(4)
     assert(uf.union(0, 1))
     assert(!uf.union(1, 0))
-    assert(uf.sameSet(0, 1) && !uf.sameSet(0, 2))
-    assert(uf.componentSize(0) == 2 && uf.componentCount == 3)
+    assert(uf.find(0) == uf.find(1) && uf.find(0) != uf.find(2))
+    assert(uf.labels.toSeq == Seq(0, 0, 2, 3))
   }
 
   test("transitive connectivity") {
     val uf = new UnionFind(6)
     uf.union(0, 1); uf.union(1, 2); uf.union(3, 4)
-    assert(uf.sameSet(0, 2))
-    assert(!uf.sameSet(2, 3))
-    assert(uf.componentSize(4) == 2)
-    assert(uf.componentCount == 3)
+    assert(uf.find(0) == uf.find(2))
+    assert(uf.find(2) != uf.find(3))
+    assert(uf.labels.toSeq == Seq(0, 0, 0, 3, 3, 5))
   }
 
   test("labels are the component minimum") {

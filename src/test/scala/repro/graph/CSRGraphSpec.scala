@@ -66,6 +66,15 @@ class CSRGraphSpec extends AnyFunSuite {
     assert(g.csrBytes == 4L * (g.n + 1) + 4L * g.arcs)
   }
 
+  test("shuffled, duplicated and reversed edges build the canonical CSR arrays") {
+    val g = GraphGen.grid(12, 11)
+    val el = g.edgeList
+    val messy = new scala.util.Random(10).shuffle(
+      (el ++ el.map(_.swap) ++ el.take(20) ++ (0 until 5).map(v => (v, v))).toSeq)
+    val h = CSRGraph.fromEdges(g.n, messy)
+    assert(h.offsets.toSeq == g.offsets.toSeq && h.adj.toSeq == g.adj.toSeq)
+  }
+
   test("fromPackedEdges rejects out-of-range vertices") {
     intercept[IllegalArgumentException] {
       CSRGraph.fromPackedEdges(3, Array(Rand.edgeKey(0, 5)))

@@ -2,6 +2,7 @@ package repro.sketch
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestRefs
+import repro.connectivity.LocalCC
 import repro.graph.GraphGen
 import repro.prob.{Constant, UniformHash}
 import repro.sample.EdgeSampler
@@ -31,8 +32,9 @@ class SketchSetSpec extends AnyFunSuite {
       val sizes = cc.groupBy(identity).view.mapValues(_.length).toMap
       (0 until g.n).foreach { v =>
         // With alpha=1 center index == vertex id; the label is the CC min.
-        assert(sk.labels(r)(v) == cc(v), s"label of $v on sketch $r")
-        if (cc(v) == v) assert(sk.sizes(r)(v) == sizes(v), s"size at rep $v sketch $r")
+        val rep = sk.getCenter(r, v)
+        assert(rep == cc(v), s"label of $v on sketch $r")
+        assert(~sk.comp(r)(rep) == sizes(rep), s"size at rep $rep sketch $r")
       }
     }
   }
@@ -125,10 +127,7 @@ class SketchSetSpec extends AnyFunSuite {
     val model = UniformHash(0.0, 0.3)
     val a = SketchBuilder.build(g, model, 8, 0.2, SketchBuilder.CCAlgo.UnionFind)
     val b = SketchBuilder.build(g, model, 8, 0.2, SketchBuilder.CCAlgo.Coloring)
-    (0 until 8).foreach { r =>
-      assert(a.labels(r).toSeq == b.labels(r).toSeq)
-      assert(a.sizes(r).toSeq == b.sizes(r).toSeq)
-    }
+    (0 until 8).foreach(r => assert(a.comp(r).toSeq == b.comp(r).toSeq))
     assert(a.initGains.toSeq == b.initGains.toSeq)
   }
 
@@ -140,13 +139,37 @@ class SketchSetSpec extends AnyFunSuite {
     assert(e.getMessage.contains("numSketches * n"))
   }
 
+  test("fromCCLabels is lossless for any sorted center set, and rejects unsorted or out-of-range centers") {
+    val g = GraphGen.rmat(300, 1400, seed = 43)
+    val model = UniformHash(0.0, 0.3)
+    val sampler = EdgeSampler.forSketches(model)
+    val numSk = 8
+    val build = (centers: Array[Int]) =>
+      SketchBuilder.fromCCLabels(g, sampler, numSk, centers)(LocalCC.byUnionFind(g, sampler, _))
+    val full = SketchBuilder.build(g, model, numSk, alpha = 1.0)
+    val rng = new scala.util.Random(44)
+    val subsets = Seq(Array.empty[Int], Array.tabulate(g.n)(identity)) ++
+      Seq(0.02, 0.3, 0.7).map(f => (0 until g.n).filter(_ => rng.nextDouble() < f).toArray)
+    val seeds = Seq(4, 120, 255)
+    seeds.foreach(full.markSeed)
+    subsets.foreach { centers =>
+      val sk = build(centers)
+      seeds.foreach(sk.markSeed)
+      (0 until g.n).foreach(v => assert(sk.gain(v) == full.gain(v), s"rho=${centers.length} v=$v"))
+    }
+    Seq(Array(3, 1), Array(2, 2), Array(-1, 5), Array(0, g.n)).foreach { bad =>
+      val e = intercept[IllegalArgumentException](build(bad))
+      assert(e.getMessage.contains("centers"), bad.mkString(","))
+    }
+  }
+
   test("sketchBytes follows the O((1+alpha R)n) model") {
     val g = GraphGen.erdosRenyi(1000, 3000, seed = 40)
     val r = 16
     val skFull = SketchBuilder.build(g, Constant(0.2), r, 1.0)
     val skComp = SketchBuilder.build(g, Constant(0.2), r, 0.1)
-    assert(skFull.sketchBytes == 8L * r * 1000 + 4L * 1000)
-    assert(skComp.sketchBytes == 8L * r * 100 + 4L * 1000)
+    assert(skFull.sketchBytes == 4L * r * 1000 + 8L * 1000)
+    assert(skComp.sketchBytes == 4L * r * 100 + 8L * 1000)
   }
 
   test("Thm 3.1: expected BFS visits per evaluation bounded by ~min(1/alpha, T)") {
@@ -175,10 +198,10 @@ class SketchSetSpec extends AnyFunSuite {
   test("markSeed zeroes exactly the component's representative size") {
     val g = GraphGen.path(10) // one CC when p=1
     val sk = SketchBuilder.build(g, Constant(1.0), 2, 1.0)
-    assert(sk.sizes(0)(0) == 10)
+    assert(sk.comp(0)(0) == ~10)
     sk.markSeed(5)
     (0 until 2).foreach { r =>
-      assert(sk.sizes(r)(0) == 0)
+      assert(sk.comp(r)(0) == ~0)
       (0 until 10).foreach(v => assert(sk.marginal(v) == 0.0))
     }
   }
