@@ -18,15 +18,24 @@ import repro.sample.EdgeSampler
   */
 object LocalCC {
 
-  @inline private def keep(sampler: EdgeSampler, u: Int, v: Int, r: Int): Boolean =
-    r < 0 || sampler.sample(u, v, r)
+  // r < 0 keeps every edge; otherwise the sampler is probed with the salt
+  // of sketch r, computed once per call (`sampler` may be null when r < 0).
+  @inline private def saltOrAll(sampler: EdgeSampler, r: Int): Long =
+    if (r < 0) 0L else sampler.saltOf(r)
 
   def byUnionFind(g: CSRGraph, sampler: EdgeSampler = null, r: Int = -1): Array[Int] = {
+    val all = r < 0
+    val rs = saltOrAll(sampler, r)
+    val offsets = g.offsets; val adj = g.adj
     val uf = new UnionFind(g.n)
     var u = 0
     while (u < g.n) {
-      g.foreachNeighbor(u) { v =>
-        if (u < v && keep(sampler, u, v, r)) uf.union(u, v)
+      var i = offsets(u)
+      val end = offsets(u + 1)
+      while (i < end) {
+        val v = adj(i)
+        if (u < v && (all || sampler.sampleSalted(u, v, rs))) uf.union(u, v)
+        i += 1
       }
       u += 1
     }
@@ -34,23 +43,30 @@ object LocalCC {
   }
 
   def byColoring(g: CSRGraph, sampler: EdgeSampler = null, r: Int = -1): Array[Int] = {
-    val label = Array.tabulate(g.n)(identity)
+    val all = r < 0
+    val rs = saltOrAll(sampler, r)
+    val offsets = g.offsets; val adj = g.adj
+    val label = new Array[Int](g.n)
+    var v0 = 0
+    while (v0 < g.n) { label(v0) = v0; v0 += 1 }
     var changed = true
-    var iters = 0
     while (changed) {
       changed = false
       var u = 0
       while (u < g.n) {
-        g.foreachNeighbor(u) { v =>
-          if (u < v && keep(sampler, u, v, r)) {
+        var i = offsets(u)
+        val end = offsets(u + 1)
+        while (i < end) {
+          val v = adj(i)
+          if (u < v && (all || sampler.sampleSalted(u, v, rs))) {
             val lu = label(u); val lv = label(v)
             if (lu < lv) { label(v) = lu; changed = true }
             else if (lv < lu) { label(u) = lv; changed = true }
           }
+          i += 1
         }
         u += 1
       }
-      iters += 1
     }
     // Propagation by increasing u already reaches a fixpoint of canonical
     // labels: min labels flow along edges until no edge is bichromatic.

@@ -7,8 +7,13 @@ package repro.connectivity
   * no CAS is needed here.
   */
 final class UnionFind(n: Int) {
-  private val parent = Array.tabulate(n)(identity)
-  private val size = Array.fill(n)(1)
+  private val parent = new Array[Int](n)
+  private val size = new Array[Int](n)
+  locally {
+    var v = 0
+    while (v < n) { parent(v) = v; v += 1 }
+    java.util.Arrays.fill(size, 1)
+  }
 
   def find(x0: Int): Int = {
     var x = x0
@@ -31,9 +36,17 @@ final class UnionFind(n: Int) {
 
   /** Canonical label per vertex: the minimum vertex id in its component. */
   def labels: Array[Int] = {
-    val minOf = Array.fill(n)(Int.MaxValue)
+    // Scanning v upward, the first vertex seen with root r is the minimum
+    // of r's component; firstOf(r) holds it plus one (0 = not seen yet).
+    val firstOf = new Array[Int](n)
+    val out = new Array[Int](n)
     var v = 0
-    while (v < n) { val r = find(v); if (v < minOf(r)) minOf(r) = v; v += 1 }
-    Array.tabulate(n)(v => minOf(find(v)))
+    while (v < n) {
+      val r = find(v)
+      if (firstOf(r) == 0) firstOf(r) = v + 1
+      out(v) = firstOf(r) - 1
+      v += 1
+    }
+    out
   }
 }

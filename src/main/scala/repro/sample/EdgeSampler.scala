@@ -18,11 +18,17 @@ import repro.util.Rand
   */
 final class EdgeSampler(val model: ProbModel, val salt: Long) extends Serializable {
 
-  @inline private def rSalt(r: Int): Long = Rand.mix2(salt, r.toLong)
+  /** Salt of sampled graph r. A loop over one sketch (or simulation)
+    * computes it once and probes with [[sampleSalted]].
+    */
+  @inline def saltOf(r: Int): Long = Rand.mix2(salt, r.toLong)
+
+  /** Is {u, v} present in the sampled graph whose salt is `rs = saltOf(r)`? */
+  @inline def sampleSalted(u: Int, v: Int, rs: Long): Boolean =
+    Rand.hash01(Rand.edgeKey(u, v), rs) < model.prob(u, v)
 
   /** Is {u, v} present in sampled graph r? Symmetric in (u, v). */
-  @inline def sample(u: Int, v: Int, r: Int): Boolean =
-    Rand.hash01(Rand.edgeKey(u, v), rSalt(r)) < model.prob(u, v)
+  @inline def sample(u: Int, v: Int, r: Int): Boolean = sampleSalted(u, v, saltOf(r))
 }
 
 object EdgeSampler {

@@ -21,7 +21,7 @@ final class CelfSelector(parallelMarginal: Boolean = true) extends Selector {
     // Round-0 gains are true gains (S = ∅), so the whole population
     // starts "fresh": the first seed costs zero re-evaluations, exactly
     // MixGreedy's first-seed-from-memoization observation.
-    val lastEvalRound = Array.fill(n)(0)
+    val lastEvalRound = new Array[Int](n)
     // Max-PQ on keys; a re-evaluated vertex is reinserted with its new
     // key. Sized to n up front: it never holds more than n keys.
     val pq = new java.util.PriorityQueue[java.lang.Long](math.max(n, 1),

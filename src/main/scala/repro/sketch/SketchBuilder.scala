@@ -57,7 +57,8 @@ object SketchBuilder {
     require(numSketches.toLong * n <= Int.MaxValue,
       s"numSketches * n = ${numSketches.toLong * n} exceeds Int.MaxValue: a gain must fit in an Int")
     val rho = centers.length
-    val centerIndex = Array.fill(n)(-1)
+    val centerIndex = new Array[Int](n)
+    java.util.Arrays.fill(centerIndex, -1)
     var i = 0
     while (i < rho) {
       val c = centers(i)
@@ -71,28 +72,46 @@ object SketchBuilder {
     // v's gain on ∅ comes free during construction (every vertex's CC
     // size is in hand before compression discards it) — the MixGreedy
     // first-seed observation; it also means selection counts only
-    // RE-evaluations, as in the paper's Tab. 5.
-    val initSums = new java.util.concurrent.atomic.AtomicIntegerArray(n)
-    Par.parFor(numSketches) { r =>
-      val cc = ccOf(r)
-      val sizeByLabel = LocalCC.sizesOf(cc)
-      var v = 0
-      while (v < n) { initSums.addAndGet(v, sizeByLabel(cc(v))); v += 1 }
-      // Forward scan: centers are sorted by vertex id, so a component's
-      // first center is its representative. It stores ~size, and the
-      // component's size slot becomes ~rep, which later centers copy.
-      val row = new Array[Int](rho)
-      var j = 0
-      while (j < rho) {
-        val l = cc(centers(j))
-        val s = sizeByLabel(l)
-        row(j) = ~s
-        if (s > 0) sizeByLabel(l) = ~j
-        j += 1
+    // RE-evaluations, as in the paper's Tab. 5. One task per core sums
+    // component sizes into its own n ints, and the sums are merged once.
+    // Tasks claim sketches from a shared counter, so a task on a slow or
+    // late thread does not hold up the others.
+    val tasks = math.max(1, math.min(numSketches, Runtime.getRuntime.availableProcessors))
+    val sums = new Array[Array[Int]](tasks)
+    val nextSketch = new java.util.concurrent.atomic.AtomicInteger
+    Par.parFor(tasks) { t =>
+      val sum = new Array[Int](n)
+      var r = nextSketch.getAndIncrement()
+      while (r < numSketches) {
+        val cc = ccOf(r)
+        val sizeByLabel = LocalCC.sizesOf(cc)
+        var v = 0
+        while (v < n) { sum(v) += sizeByLabel(cc(v)); v += 1 }
+        // Forward scan: centers are sorted by vertex id, so a component's
+        // first center is its representative. It stores ~size, and the
+        // component's size slot becomes ~rep, which later centers copy.
+        val row = new Array[Int](rho)
+        var j = 0
+        while (j < rho) {
+          val l = cc(centers(j))
+          val s = sizeByLabel(l)
+          row(j) = ~s
+          if (s > 0) sizeByLabel(l) = ~j
+          j += 1
+        }
+        comp(r) = row
+        r = nextSketch.getAndIncrement()
       }
-      comp(r) = row
+      sums(t) = sum
     }
-    val initGains = Array.tabulate(n)(initSums.get)
+    val initGains = sums(0)
+    var k = 1
+    while (k < tasks) {
+      val sum = sums(k)
+      var v = 0
+      while (v < n) { initGains(v) += sum(v); v += 1 }
+      k += 1
+    }
     new SketchSet(g, sampler, numSketches, centers, centerIndex, comp, initGains)
   }
 

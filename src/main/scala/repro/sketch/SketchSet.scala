@@ -77,60 +77,71 @@ final class SketchSet(
   }
 
   /** Alg. 3 GetCenter, answered as one int (encoding in the class doc).
-    * BFS over the implicit G'_r; stops at the first center or the first
-    * seed (either determines the answer).
+    * BFS over the implicit G'_r; stops at the first center, or at the end
+    * of the neighbor list in which it first meets a seed (either
+    * determines the answer).
     */
-  def getCenter(r: Int, v: Int): Int = {
+  def getCenter(r: Int, v: Int): Int = getCenter(r, v, null)
+
+  /** GetCenter with the caller's BFS scratch `s`, or null to look up the
+    * thread's own only if a BFS is needed.
+    */
+  private def getCenter(r: Int, v: Int, s0: Scratch): Int = {
     if (isSeed(v)) return ~0
     val ci = centerIndex(v)
     if (ci >= 0) {
       visitCounter.increment()
       return rep(r, ci)
     }
-    val s = Scratch.local(g.n)
+    val s = if (s0 != null) s0 else Scratch.local(g.n)
+    val rs = sampler.saltOf(r)
+    val offsets = g.offsets; val adj = g.adj
     s.reset()
     s.visit(v)
     s.queue(0) = v
+    // Every vertex enqueued so far has been visited, so `tail` counts visits.
     var head = 0; var tail = 1
-    var visited = 1
     while (head < tail) {
       val u = s.queue(head); head += 1
-      var found = -1
-      g.foreachNeighbor(u) { w =>
-        if (found < 0 && !s.visited(w) && sampler.sample(u, w, r)) {
+      var seedSeen = false
+      var i = offsets(u)
+      val end = offsets(u + 1)
+      while (i < end) {
+        val w = adj(i)
+        if (!s.visited(w) && sampler.sampleSalted(u, w, rs)) {
           val cw = centerIndex(w)
-          if (cw >= 0) found = cw
-          else if (isSeed(w)) found = -2
-          else {
-            s.visit(w); s.queue(tail) = w; tail += 1
-            visited += 1
-          }
+          if (cw >= 0) { visitCounter.add(tail.toLong + 1); return rep(r, cw) }
+          if (isSeed(w)) seedSeen = true
+          else { s.visit(w); s.queue(tail) = w; tail += 1 }
         }
+        i += 1
       }
-      if (found == -2) { visitCounter.add(visited.toLong); return ~0 }
-      if (found >= 0) {
-        visitCounter.add(visited.toLong + 1)
-        return rep(r, found)
-      }
+      // A seed makes δ_r = 0, but u's list is finished first: a center
+      // later in it answers instead (its component is seeded, so its
+      // influence is 0 too). The visit count follows this order.
+      if (seedSeen) { visitCounter.add(tail.toLong); return ~0 }
     }
-    visitCounter.add(visited.toLong)
-    ~visited
+    visitCounter.add(tail.toLong)
+    ~tail
   }
 
   /** δ_r of v: its marginal influence on sketch r. */
-  @inline private def delta(r: Int, v: Int): Int = {
-    val c = getCenter(r, v)
+  @inline private def delta(r: Int, v: Int, s: Scratch): Int = {
+    val c = getCenter(r, v, s)
     if (c >= 0) ~comp(r)(c) else ~c
   }
 
   /** v's gain Σ_r δ_r over all R sketches (R × the paper's Marginal). */
   def gain(v: Int, parallel: Boolean = false): Int = {
     if (parallel) {
-      Par.parSumL(R)(r => delta(r, v).toLong).toInt
+      // Each task runs on its own thread, so it looks up its own scratch.
+      Par.parSumL(R)(r => delta(r, v, null).toLong).toInt
     } else {
+      // With every vertex a center (ρ = n), GetCenter never searches.
+      val s = if (rho < g.n) Scratch.local(g.n) else null
       var sum = 0
       var r = 0
-      while (r < R) { sum += delta(r, v); r += 1 }
+      while (r < R) { sum += delta(r, v, s); r += 1 }
       sum
     }
   }

@@ -32,6 +32,14 @@ object SparkSketchBuilder {
       .select(col("g"), col("src"), col("dst"))
   }
 
+  /** The labeling of n isolated vertices: label(v) = v. */
+  private def singletons(n: Int): Array[Int] = {
+    val cc = new Array[Int](n)
+    var v = 0
+    while (v < n) { cc(v) = v; v += 1 }
+    cc
+  }
+
   /** Build the SketchSet with the distributed CC. */
   def build(spark: SparkSession, g: CSRGraph, model: ProbModel, numSketches: Int,
             alpha: Double, centerSeed: Long = 0xce57e5L): SketchSet = {
@@ -44,15 +52,15 @@ object SparkSketchBuilder {
                  r.getAs[Number]("label").intValue()))
     // Assemble per-sketch canonical labelings; vertices absent from the
     // CC output are singletons (label = self).
-    val perSketch = Array.fill(numSketches)(null: Array[Int])
+    val perSketch = new Array[Array[Int]](numSketches)
     ccRows.groupBy(_._1).foreach { case (r, rows) =>
-      val cc = Array.tabulate(g.n)(identity)
+      val cc = singletons(g.n)
       rows.foreach { case (_, v, l) => cc(v) = l }
       perSketch(r) = cc
     }
     var r = 0
     while (r < numSketches) {
-      if (perSketch(r) == null) perSketch(r) = Array.tabulate(g.n)(identity)
+      if (perSketch(r) == null) perSketch(r) = singletons(g.n)
       r += 1
     }
     SketchBuilder.fromCCLabels(g, sampler, numSketches, centers)(perSketch(_))

@@ -31,9 +31,14 @@ object Par {
   }
 }
 
-/** Reusable, allocation-free BFS scratch: a stamp-versioned visited array
-  * plus an int queue. One instance per thread (see [[Scratch.local]]);
-  * `reset()` is O(1) by bumping the version stamp.
+/** Reusable BFS scratch: a stamp-versioned visited array plus an int
+  * queue; `reset()` is O(1) by bumping the version stamp. Obtained through
+  * [[Scratch.local]], which keeps one instance per thread and n only on
+  * threads that keep their ThreadLocals. Common fork-join pool workers do
+  * not: on JDK 17 they drop their ThreadLocals after every top-level task
+  * (1000 parallel loops of 256 iterations on 4 cores created ~2000
+  * thread-local values, not ~4), so on a worker each stolen task
+  * allocates a fresh instance.
   */
 final class Scratch(val n: Int) {
   private val stamp = new Array[Int](n)
@@ -54,7 +59,9 @@ object Scratch {
     override def initialValue() = new java.util.HashMap[Integer, Scratch]()
   }
 
-  /** Thread-local scratch for graphs with n vertices. */
+  /** Thread-local scratch for graphs with n vertices (see the class doc
+    * for how long a pool worker keeps it).
+    */
   def local(n: Int): Scratch = {
     val m = pool.get()
     var s = m.get(n)

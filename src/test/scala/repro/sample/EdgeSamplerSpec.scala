@@ -3,6 +3,7 @@ package repro.sample
 import org.scalatest.funsuite.AnyFunSuite
 import repro.graph.GraphGen
 import repro.prob.{Constant, UniformHash, WIC}
+import repro.util.Rand
 
 class ProbModelSpec extends AnyFunSuite {
 
@@ -91,6 +92,23 @@ class EdgeSamplerSpec extends AnyFunSuite {
       val p = m.prob(e, e + 1)
       val rate = (0 until 20000).count(r => s.sample(e, e + 1, r)).toDouble / 20000
       assert(math.abs(rate - p) < 0.02, s"edge $e: p=$p rate=$rate")
+    }
+  }
+
+  test("sampleSalted with saltOf(r) is sample, and sample is hash01(edge, mix2(salt, r)) < p") {
+    val g = GraphGen.rmat(256, 1500, seed = 22)
+    val models = Seq(Constant(0.3), UniformHash(0.1, 0.3), WIC.of(g))
+    models.foreach { m =>
+      val s = EdgeSampler.forSketches(m)
+      (0 until 40).foreach { r =>
+        val rs = s.saltOf(r)
+        assert(rs == Rand.mix2(EdgeSampler.SketchSalt, r.toLong))
+        g.edgeList.foreach { case (u, v) =>
+          val expect = Rand.hash01(Rand.edgeKey(u, v), rs) < m.prob(u, v)
+          assert(s.sampleSalted(u, v, rs) == expect, s"${m.label} ($u,$v) on sketch $r")
+          assert(s.sample(u, v, r) == expect, s"${m.label} ($u,$v) on sketch $r")
+        }
+      }
     }
   }
 

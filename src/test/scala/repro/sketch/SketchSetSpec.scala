@@ -195,6 +195,24 @@ class SketchSetSpec extends AnyFunSuite {
     assert(sk.visitCounter.sum() == 8)
   }
 
+  test("GetCenter visit counts after seeding are pinned (Thm 3.1 accounting)") {
+    // Fixed sweep: every vertex evaluated sequentially and in parallel
+    // after marking five seeds. A change to where GetCenter's BFS stops,
+    // or to what it counts, moves these counts; the gains stay put.
+    val g = GraphGen.rmat(512, 3000, seed = 41)
+    val model = UniformHash(0.05, 0.25)
+    val expected = Map(0.0 -> (6362L, 413888L), 0.15 -> (236L, 60906L))
+    expected.foreach { case (alpha, (markVisits, sweepVisits)) =>
+      val sk = SketchBuilder.build(g, model, numSketches = 16, alpha = alpha)
+      Seq(5, 60, 130, 301, 444).foreach(sk.markSeed)
+      assert(sk.visitCounter.sum() == markVisits, s"markSeed visits, alpha=$alpha")
+      var seq, par = 0L
+      (0 until g.n).foreach { v => seq += sk.gain(v); par += sk.gain(v, parallel = true) }
+      assert(seq == 4460 && par == 4460, s"gain sums, alpha=$alpha")
+      assert(sk.visitCounter.sum() - markVisits == sweepVisits, s"sweep visits, alpha=$alpha")
+    }
+  }
+
   test("markSeed zeroes exactly the component's representative size") {
     val g = GraphGen.path(10) // one CC when p=1
     val sk = SketchBuilder.build(g, Constant(1.0), 2, 1.0)
