@@ -2,14 +2,17 @@ package repro.connectivity
 
 /** Array union–find with path halving and union by size — the local
   * stand-in for ConnectIt's UniteRemCAS used by the paper for parallel
-  * sketch connectivity. Sketch construction runs one instance per sketch
-  * (sketches are processed in parallel, each instance sequentially), so
-  * no CAS is needed here.
+  * sketch connectivity. Sketch construction gives each task one instance
+  * per sketch of its block and [[reset]]s them between blocks (each
+  * instance is used sequentially), so no CAS is needed here.
   */
 final class UnionFind(n: Int) {
   private val parent = new Array[Int](n)
   private val size = new Array[Int](n)
-  locally {
+  reset()
+
+  /** Back to n singletons, reusing the arrays. */
+  def reset(): Unit = {
     var v = 0
     while (v < n) { parent(v) = v; v += 1 }
     java.util.Arrays.fill(size, 1)
@@ -36,10 +39,18 @@ final class UnionFind(n: Int) {
 
   /** Canonical label per vertex: the minimum vertex id in its component. */
   def labels: Array[Int] = {
+    val out = new Array[Int](n)
+    labelsInto(out, new Array[Int](n))
+    out
+  }
+
+  /** [[labels]] written into `out`, with `firstOf` (n ints, any content)
+    * as scratch.
+    */
+  def labelsInto(out: Array[Int], firstOf: Array[Int]): Unit = {
     // Scanning v upward, the first vertex seen with root r is the minimum
     // of r's component; firstOf(r) holds it plus one (0 = not seen yet).
-    val firstOf = new Array[Int](n)
-    val out = new Array[Int](n)
+    java.util.Arrays.fill(firstOf, 0, n, 0)
     var v = 0
     while (v < n) {
       val r = find(v)
@@ -47,6 +58,5 @@ final class UnionFind(n: Int) {
       out(v) = firstOf(r) - 1
       v += 1
     }
-    out
   }
 }

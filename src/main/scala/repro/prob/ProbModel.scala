@@ -44,6 +44,18 @@ final case class WIC(degrees: Array[Int]) extends ProbModel {
   override def label: String = "WIC"
 }
 
+object ProbModel {
+  /** p as the exact integer threshold the sampler compares a 53-bit hash
+    * against, ceil(p · 2^53): for an integer x in [0, 2^53),
+    * x · 2^-53 < p ⇔ x < ceil(p · 2^53).
+    * Both products are exact in double arithmetic (scaling by a power of
+    * two), so comparing the raw 53-bit hash against this threshold keeps
+    * exactly the edges `hash01 < p` keeps. p = 0 gives 0 (no x passes),
+    * p = 1 gives 2^53 (every x passes).
+    */
+  def thresholdOf(p: Double): Long = math.ceil(p * 9007199254740992.0).toLong // 2^53
+}
+
 object WIC {
   def of(g: CSRGraph): WIC = WIC(Array.tabulate(g.n)(g.degree))
 }

@@ -31,14 +31,14 @@ object Par {
   }
 }
 
-/** Reusable BFS scratch: a stamp-versioned visited array plus an int
-  * queue; `reset()` is O(1) by bumping the version stamp. Obtained through
-  * [[Scratch.local]], which keeps one instance per thread and n only on
-  * threads that keep their ThreadLocals. Common fork-join pool workers do
-  * not: on JDK 17 they drop their ThreadLocals after every top-level task
-  * (1000 parallel loops of 256 iterations on 4 cores created ~2000
-  * thread-local values, not ~4), so on a worker each stolen task
-  * allocates a fresh instance.
+/** Reusable BFS scratch for graphs of up to `n` vertices: a
+  * stamp-versioned visited array plus an int queue; `reset()` is O(1) by
+  * bumping the version stamp. Obtained through [[Scratch.local]], which
+  * keeps at most one instance per thread, and only on threads that keep
+  * their ThreadLocals. Common fork-join pool workers do not: on JDK 17
+  * they drop their ThreadLocals after every top-level task (1000 parallel
+  * loops of 256 iterations on 4 cores created ~2000 thread-local values,
+  * not ~4), so on a worker each stolen task allocates a fresh instance.
   */
 final class Scratch(val n: Int) {
   private val stamp = new Array[Int](n)
@@ -54,18 +54,15 @@ final class Scratch(val n: Int) {
 }
 
 object Scratch {
-  // Keyed by n so different graphs in one JVM don't share undersized scratch.
-  private val pool = new ThreadLocal[java.util.HashMap[Integer, Scratch]] {
-    override def initialValue() = new java.util.HashMap[Integer, Scratch]()
-  }
+  private val mine = new ThreadLocal[Scratch]
 
-  /** Thread-local scratch for graphs with n vertices (see the class doc
-    * for how long a pool worker keeps it).
+  /** This thread's scratch, good for any graph of at most n vertices. It
+    * is replaced only by a request for a larger n, so a thread retains one
+    * instance, sized for the largest graph it has searched.
     */
   def local(n: Int): Scratch = {
-    val m = pool.get()
-    var s = m.get(n)
-    if (s == null) { s = new Scratch(n); m.put(n, s) }
+    var s = mine.get()
+    if (s == null || s.n < n) { s = new Scratch(n); mine.set(s) }
     s
   }
 }

@@ -3,7 +3,7 @@ package repro.connectivity
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestRefs
 import repro.graph.GraphGen
-import repro.prob.Constant
+import repro.prob.{Constant, ProbModel, UniformHash, WIC}
 import repro.sample.EdgeSampler
 
 class UnionFindSpec extends AnyFunSuite {
@@ -37,6 +37,18 @@ class UnionFindSpec extends AnyFunSuite {
     assert(l(5) == 1 && l(3) == 1 && l(1) == 1)
     assert(l(0) == 0 && l(4) == 0)
     assert(l(2) == 2)
+  }
+
+  test("reset() gives singletons again after unions") {
+    val uf = new UnionFind(6)
+    uf.union(0, 1); uf.union(2, 3); uf.union(1, 3); uf.union(4, 5)
+    assert(uf.labels.toSeq == Seq(0, 0, 0, 0, 4, 4))
+    uf.reset()
+    (0 until 6).foreach(v => assert(uf.find(v) == v))
+    assert(uf.labels.toSeq == (0 until 6))
+    // Sizes are reset too: after reset, a union is by size again from 1.
+    uf.union(5, 4); uf.union(3, 4)
+    assert(uf.labels.toSeq == Seq(0, 1, 2, 3, 3, 3))
   }
 
   test("random graphs: UF labels == BFS labels") {
@@ -90,10 +102,58 @@ class LocalCCSpec extends AnyFunSuite {
     assert(none.toSeq == (0 until 100))
   }
 
-  test("sizesOf counts component members at the canonical label") {
-    val labels = Array(0, 0, 2, 0, 2, 5)
-    val s = LocalCC.sizesOf(labels)
-    assert(s(0) == 3 && s(2) == 2 && s(5) == 1)
-    assert(s(1) == 0 && s(3) == 0 && s(4) == 0)
+  // Label sketches 0 until numSk in blocks of LocalCC.Block, as the build does.
+  private def blockLabels(g: repro.graph.CSRGraph, sampler: EdgeSampler, numSk: Int,
+                          coloring: Boolean): Seq[Seq[Int]] = {
+    val B = LocalCC.Block
+    val out = Array.fill(B)(new Array[Int](g.n))
+    val ufs = Array.fill(B)(new UnionFind(g.n))
+    (0 until numSk by B).flatMap { r0 =>
+      val count = math.min(B, numSk - r0)
+      if (coloring) LocalCC.coloringBlock(g, sampler, r0, count, out)
+      else LocalCC.unionFindBlock(g, sampler, r0, count, ufs, out, new Array[Int](g.n))
+      (0 until count).map(b => out(b).toSeq)
+    }
+  }
+
+  test("block labels equal per-sketch labels for both CCs, every prob model, any R") {
+    val g = GraphGen.rmat(300, 1500, seed = 302)
+    val models: Seq[ProbModel] =
+      Seq(Constant(0.0), Constant(1.0), Constant(0.3), UniformHash(0.05, 0.5), WIC.of(g))
+    val B = LocalCC.Block
+    models.foreach { m =>
+      val sampler = EdgeSampler.forSketches(m)
+      Seq(1, B - 3, B, 2 * B + 5).foreach { numSk =>
+        val uf = (0 until numSk).map(r => LocalCC.byUnionFind(g, sampler, r).toSeq)
+        val col = (0 until numSk).map(r => LocalCC.byColoring(g, sampler, r).toSeq)
+        assert(uf == col, s"${m.label} R=$numSk")
+        assert(blockLabels(g, sampler, numSk, coloring = false) == uf, s"UF ${m.label} R=$numSk")
+        assert(blockLabels(g, sampler, numSk, coloring = true) == uf, s"coloring ${m.label} R=$numSk")
+      }
+    }
+  }
+
+  test("block buffers are reused: a block after another gives the same labels") {
+    val g = GraphGen.erdosRenyi(200, 500, seed = 303)
+    val sampler = EdgeSampler.forSketches(Constant(0.4))
+    val B = LocalCC.Block
+    val out = Array.fill(B)(new Array[Int](g.n))
+    val ufs = Array.fill(B)(new UnionFind(g.n))
+    val firstOf = new Array[Int](g.n)
+    LocalCC.unionFindBlock(g, sampler, 0, B, ufs, out, firstOf)
+    LocalCC.unionFindBlock(g, sampler, 7, 3, ufs, out, firstOf)
+    (0 until 3).foreach(b => assert(out(b).toSeq == LocalCC.byUnionFind(g, sampler, 7 + b).toSeq))
+    LocalCC.coloringBlock(g, sampler, 0, B, out)
+    LocalCC.coloringBlock(g, sampler, 7, 3, out)
+    (0 until 3).foreach(b => assert(out(b).toSeq == LocalCC.byUnionFind(g, sampler, 7 + b).toSeq))
+  }
+
+  test("block functions reject an oversized block and a multi-sketch all-edges block") {
+    val g = GraphGen.path(10)
+    val sampler = EdgeSampler.forSketches(Constant(0.5))
+    val out = Array.fill(LocalCC.Block + 1)(new Array[Int](g.n))
+    intercept[IllegalArgumentException](LocalCC.coloringBlock(g, sampler, 0, LocalCC.Block + 1, out))
+    intercept[IllegalArgumentException](LocalCC.coloringBlock(g, sampler, 0, 0, out))
+    intercept[IllegalArgumentException](LocalCC.coloringBlock(g, null, -1, 2, out))
   }
 }

@@ -2,7 +2,7 @@ package repro.sample
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.graph.GraphGen
-import repro.prob.{Constant, UniformHash, WIC}
+import repro.prob.{Constant, ProbModel, UniformHash, WIC}
 import repro.util.Rand
 
 class ProbModelSpec extends AnyFunSuite {
@@ -107,6 +107,51 @@ class EdgeSamplerSpec extends AnyFunSuite {
           val expect = Rand.hash01(Rand.edgeKey(u, v), rs) < m.prob(u, v)
           assert(s.sampleSalted(u, v, rs) == expect, s"${m.label} ($u,$v) on sketch $r")
           assert(s.sample(u, v, r) == expect, s"${m.label} ($u,$v) on sketch $r")
+        }
+      }
+    }
+  }
+
+  test("the integer threshold ceil(p * 2^53) decides exactly as hash01 < p, next to every threshold") {
+    val two53 = 1L << 53
+    assert(1.1102230246251565e-16 == math.pow(2, -53), "hash01 scales by exactly 2^-53")
+    val ps = Seq(0.0, math.pow(2, -53), 0.02, Math.nextUp(0.1), 0.1, Math.nextDown(0.1), 0.3,
+      Math.nextDown(1.0), 1.0)
+    ps.foreach { p =>
+      val t = ProbModel.thresholdOf(p)
+      assert(t >= 0 && t <= two53, s"p=$p t=$t")
+      val xs = (Seq(0L, 1L, two53 - 2, two53 - 1) ++ (-3L to 3L).map(t + _)).filter(x => x >= 0 && x < two53)
+      xs.foreach { x =>
+        // hash01's value for the 53-bit hash x.
+        val h01 = x * 1.1102230246251565e-16
+        assert((h01 < p) == (x < t), s"p=$p x=$x t=$t")
+      }
+    }
+    assert(ProbModel.thresholdOf(0.0) == 0 && ProbModel.thresholdOf(1.0) == two53)
+    assert(ProbModel.thresholdOf(math.pow(2, -53)) == 1)
+  }
+
+  test("threshold, sampleSalted and sampleLanes agree with hash01 < p on every edge of a graph") {
+    val g = GraphGen.rmat(256, 1500, seed = 23)
+    val models: Seq[ProbModel] = Seq(Constant(0.02), Constant(Math.nextUp(0.1)), Constant(Math.nextDown(1.0)),
+      UniformHash(0.1, 0.3), WIC.of(g))
+    val numSk = 40
+    models.foreach { m =>
+      val s = EdgeSampler.forSketches(m)
+      val salts = Array.tabulate(numSk)(s.saltOf)
+      g.edgeList.foreach { case (u, v) =>
+        assert(s.threshold(u, v) == ProbModel.thresholdOf(m.prob(u, v)), s"${m.label} ($u,$v)")
+        val expect = salts.map(rs => Rand.hash01(Rand.edgeKey(u, v), rs) < m.prob(u, v))
+        (0 until numSk).foreach(r => assert(s.sampleSalted(v, u, salts(r)) == expect(r), s"${m.label} ($u,$v) r=$r"))
+        // Lanes in blocks of 16 sketches; bits outside `lanes` stay clear.
+        (0 until numSk by 16).foreach { r0 =>
+          val block = salts.slice(r0, r0 + 16)
+          val all = (1 << block.length) - 1
+          Seq(all, all & 0x5555, 0).foreach { lanes =>
+            val want = block.indices.filter(b => ((lanes >>> b) & 1) == 1 && expect(r0 + b))
+              .foldLeft(0)((acc, b) => acc | (1 << b))
+            assert(s.sampleLanes(u, v, block, lanes) == want, s"${m.label} ($u,$v) block $r0 lanes $lanes")
+          }
         }
       }
     }

@@ -4,7 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.TestRefs
 import repro.connectivity.LocalCC
 import repro.graph.GraphGen
-import repro.prob.{Constant, UniformHash}
+import repro.prob.{Constant, ProbModel, UniformHash, WIC}
 import repro.sample.EdgeSampler
 
 class SketchSetSpec extends AnyFunSuite {
@@ -129,6 +129,24 @@ class SketchSetSpec extends AnyFunSuite {
     val b = SketchBuilder.build(g, model, 8, 0.2, SketchBuilder.CCAlgo.Coloring)
     (0 until 8).foreach(r => assert(a.comp(r).toSeq == b.comp(r).toSeq))
     assert(a.initGains.toSeq == b.initGains.toSeq)
+  }
+
+  test("the fused block build equals fromCCLabels over per-sketch labels (both CCs, any R)") {
+    val g = GraphGen.rmat(400, 2200, seed = 45)
+    val models: Seq[ProbModel] = Seq(Constant(0.0), Constant(1.0), Constant(0.2), UniformHash(0.0, 0.3), WIC.of(g))
+    val B = LocalCC.Block
+    for (m <- models; numSk <- Seq(1, B - 5, 2 * B + 3); alpha <- Seq(0.1, 1.0)) {
+      val sampler = EdgeSampler.forSketches(m)
+      val centers = SketchBuilder.chooseCenters(g.n, alpha)
+      val ref = SketchBuilder.fromCCLabels(g, sampler, numSk, centers)(LocalCC.byUnionFind(g, sampler, _))
+      Seq(SketchBuilder.CCAlgo.UnionFind, SketchBuilder.CCAlgo.Coloring).foreach { cc =>
+        val sk = SketchBuilder.build(g, m, numSk, alpha, cc)
+        val what = s"${m.label} R=$numSk alpha=$alpha $cc"
+        assert(sk.centers.toSeq == centers.toSeq, what)
+        (0 until numSk).foreach(r => assert(sk.comp(r).toSeq == ref.comp(r).toSeq, s"$what sketch $r"))
+        assert(sk.initGains.toSeq == ref.initGains.toSeq, what)
+      }
+    }
   }
 
   test("fromCCLabels rejects R * n beyond Int.MaxValue (a gain must fit in an Int)") {

@@ -98,15 +98,22 @@ class ParSpec extends AnyFunSuite {
     assert(!s.visited(3))
   }
 
-  test("Scratch.local is per-thread and per-size") {
-    val a = Scratch.local(100)
-    val b = Scratch.local(100)
-    val c = Scratch.local(200)
-    assert(a eq b)
-    assert(!(a eq c))
-    var other: Scratch = null
-    val t = new Thread(() => { other = Scratch.local(100) })
-    t.start(); t.join()
-    assert(!(a eq other))
+  test("Scratch.local: one per thread, replaced only by a larger n") {
+    // A fresh thread, so scratch left by earlier tests on this one cannot interfere.
+    def onNewThread[T](f: => T): T = {
+      var out: Option[T] = None
+      val t = new Thread(() => { out = Some(f) })
+      t.start(); t.join()
+      out.get
+    }
+    val (a, b, c, d, e) = onNewThread {
+      (Scratch.local(100), Scratch.local(100), Scratch.local(60), Scratch.local(200), Scratch.local(100))
+    }
+    assert(a.n == 100 && (a eq b), "same n reuses the instance")
+    assert(c eq a, "a smaller n reuses the instance")
+    assert(!(d eq a) && d.n == 200, "a larger n replaces it")
+    assert(e eq d, "after growing, smaller requests reuse the larger instance")
+    val other = onNewThread(Scratch.local(100))
+    assert(!(other eq a) && !(other eq d), "threads do not share scratch")
   }
 }
